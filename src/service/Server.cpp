@@ -65,9 +65,10 @@ Server::~Server() {
 }
 
 bool Server::start(std::string *Error) {
-  ListenFd = listenLoopback(Opts.Port, &BoundPort, Error);
-  if (ListenFd < 0)
+  int Fd = listenLoopback(Opts.Port, &BoundPort, Error);
+  if (Fd < 0)
     return false;
+  ListenFd.store(Fd);
   Started.store(true);
   AcceptThread = std::thread([this] { acceptLoop(); });
   return true;
@@ -78,13 +79,18 @@ void Server::requestShutdown() {
     return;
   // Only flag + fd shutdown here: accept() wakes with an error, and the
   // accept thread runs the ordered teardown. No locks on this path.
-  if (ListenFd >= 0)
-    ::shutdown(ListenFd, SHUT_RDWR);
+  int Fd = ListenFd.load();
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
 }
 
 void Server::wait() {
   if (AcceptThread.joinable())
     AcceptThread.join();
+  // Closed only after the accept thread, which accepts on it, is joined.
+  int Fd = ListenFd.exchange(-1);
+  if (Fd >= 0)
+    ::close(Fd);
 }
 
 void Server::acceptLoop() {
@@ -112,10 +118,6 @@ void Server::acceptLoop() {
   // connections that are alive), and persist one final time.
   drainPool();
   persist(/*Force=*/true);
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
 }
 
 void Server::drainPool() {
@@ -187,8 +189,12 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
       // is the backpressure valve for its connection.
       Lanes.enqueue(Req.L, [this, Conn, S, Req = std::move(Req)] {
         Response Resp = handleRequest(Req);
+        // Counted before the response goes out, so a client that has read
+        // it (or a later `stats` frame) already sees the request done.
+        uint64_t Done = countCompleted();
         Conn->deliver(S, serializeResponse(Resp));
-        finishRequest();
+        if (Opts.PersistEvery && Done % Opts.PersistEvery == 0)
+          persist(/*Force=*/false);
       });
       continue;
     }
@@ -277,11 +283,9 @@ Response Server::handleRequest(const Request &Req) {
   return Resp;
 }
 
-void Server::finishRequest() {
+uint64_t Server::countCompleted() {
   stats::add("svc.responses");
-  uint64_t Done = Completed.fetch_add(1) + 1;
-  if (Opts.PersistEvery && Done % Opts.PersistEvery == 0)
-    persist(/*Force=*/false);
+  return Completed.fetch_add(1) + 1;
 }
 
 void Server::persist(bool Force) {

@@ -94,7 +94,7 @@ public:
   void requestShutdown();
 
   /// Blocks until the daemon has fully shut down (accept thread joined,
-  /// jobs drained, state persisted).
+  /// jobs drained, state persisted, listen fd closed).
   void wait();
 
   /// The shared in-memory verdict cache (e.g. to preload before start()).
@@ -117,7 +117,8 @@ private:
   void acceptLoop();
   void readerLoop(std::shared_ptr<Connection> Conn);
   Response handleRequest(const Request &Req);
-  void finishRequest();
+  /// Books one finished request; returns the new completion count.
+  uint64_t countCompleted();
   void persist(bool Force);
   void drainPool();
 
@@ -127,7 +128,9 @@ private:
   tv::VerdictCache Cache;
   Corpus Cex;
 
-  int ListenFd = -1;
+  /// Written by start() and wait(), read by requestShutdown() from any
+  /// thread (a signal handler included), hence atomic.
+  std::atomic<int> ListenFd{-1};
   unsigned BoundPort = 0;
   std::thread AcceptThread;
   std::atomic<bool> ShuttingDown{false};
