@@ -18,6 +18,8 @@
 #ifndef FROSTBENCH_BENCH_H
 #define FROSTBENCH_BENCH_H
 
+#include "fuzz/Enumerate.h"
+#include "ir/Function.h"
 #include "tv/Campaign.h"
 #include "tv/VerdictCache.h"
 
@@ -65,9 +67,14 @@ const std::vector<Config> &fileMixedConfigs();
 /// configurations of file-mixed.
 const std::vector<Config> &daemonConfigs();
 
-/// The exhaustive space of exhaustive-i1 (Width 1) / exhaustive-i4
-/// (Width 4, bit-sliced engine), capped at its prefix per repetition.
-tv::CampaignOptions exhaustiveOptions(unsigned Width);
+/// The whole exhaustive space of exhaustive-i1 (Width 1) / exhaustive-i4
+/// (Width 4), uncapped: what the seeded sample is drawn from.
+tv::CampaignOptions exhaustiveSpace(unsigned Width);
+/// Functions in the seeded sample of the Width space.
+unsigned exhaustiveSampleSize(unsigned Width);
+/// The campaign exhaustive-i1/i4 time: the sample module \p Text through
+/// the File source, on the scalar engine (i1) or the bit-sliced one (i4).
+tv::CampaignOptions exhaustiveOptions(unsigned Width, const std::string &Text);
 /// A File-source campaign of \p Text under \p C, as frost-tv --file
 /// --compare-memory runs it (and as frost-tvd serves one request).
 tv::CampaignOptions fileOptions(const Config &C, const std::string &Text);
@@ -87,13 +94,30 @@ struct MixedCounts {
 /// The file-mixed module for \p Seed: random programs, a slice of the
 /// exhaustive memory space, and the hand-written Section 3 functions.
 std::string generateFileMixed(uint64_t Seed, MixedCounts *Counts = nullptr);
-/// The novel daemon-mixed functions for \p Seed: random programs from a
-/// seed range disjoint from file-mixed's.
-std::string generateNovel(uint64_t Seed);
-/// A module of \p Count functions drawn by \p Seed from the first
-/// \p Opts.MaxFunctions of the exhaustive space.
-std::string generateExhaustiveSample(const tv::CampaignOptions &Opts,
-                                     uint64_t Seed, unsigned Count);
+/// The novel daemon-mixed functions: random programs from a generator
+/// seed range disjoint from file-mixed's (fixed; README.md says why).
+std::string generateNovel();
+
+/// The strata of the exhaustive sample: what sets a function's checking
+/// cost. 0 plain, 1 select, 2 a freeze, 3 a freeze of a poison-fed value
+/// (every input tuple falls back from the bit-sliced to the scalar engine).
+constexpr unsigned NumCostClasses = 4;
+unsigned costClass(const Function &F);
+const char *costClassName(unsigned Class);
+
+/// The make-up of an exhaustive sample, for the README.
+struct SampleCounts {
+  uint64_t SpaceSize = 0;
+  uint64_t InSpace[NumCostClasses] = {}, InSample[NumCostClasses] = {};
+  /// Per opcode, the sampled functions holding at least one instruction
+  /// of it (ret aside).
+  std::map<std::string, unsigned> WithOpcode;
+};
+/// A module of exhaustiveSampleSize(\p Width) functions drawn by \p Seed
+/// from the whole Width space, stratified by cost class with proportional
+/// allocation, in enumeration order.
+std::string generateExhaustiveSample(unsigned Width, uint64_t Seed,
+                                     SampleCounts *Counts = nullptr);
 
 /// The stores to global memory in the printed function \p Fn. Legacy DSE
 /// deletes a last store of undef as a no-op, leaving what the memory held
@@ -168,12 +192,18 @@ struct Counts {
   std::string str() const;
 };
 
-/// Runs the campaign \p Opts the way tv::runCampaign does at Jobs = 1
-/// (Exhaustive or File source), recording a span around every call into a
-/// layer. \p Opts.Cache must be set. Returns the campaign's counts; adds
-/// to \p CheckedInputs the input tuples of the refinement checks it ran.
+/// Runs the File-source campaign \p Opts the way tv::runCampaign does at
+/// Jobs = 1, recording a span around every call into a layer. \p Opts.Cache
+/// must be set. Returns the campaign's counts; adds to \p CheckedInputs the
+/// input tuples of the refinement checks it ran.
 Counts tracedCampaign(const tv::CampaignOptions &Opts, Tracer &T,
                       uint64_t &CheckedInputs);
+/// Enumerates the first \p Count functions of \p Enum's space in a
+/// "fuzz.enumerate" span, the callback doing nothing but count them, as
+/// the Exhaustive source of a campaign capped at \p Count would. Returns
+/// the functions enumerated.
+uint64_t tracedEnumerate(const fuzz::EnumOptions &Enum, uint64_t Count,
+                         Tracer &T);
 
 //===----------------------------------------------------------------------===//
 // The daemon (Daemon.cpp)

@@ -9,17 +9,23 @@
 
 #include "fuzz/Enumerate.h"
 #include "fuzz/RandomProgram.h"
+#include "ir/BasicBlock.h"
+#include "ir/Constants.h"
 #include "ir/Context.h"
 #include "ir/Function.h"
+#include "ir/Instruction.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "parser/Parser.h"
 #include "service/Protocol.h"
+#include "support/Casting.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <random>
+#include <set>
 
 using namespace frost;
 using namespace frostbench;
@@ -186,10 +192,10 @@ const std::vector<HandWritten> &frostbench::handWrittenFunctions() {
   return Fns;
 }
 
-tv::CampaignOptions frostbench::exhaustiveOptions(unsigned Width) {
+tv::CampaignOptions frostbench::exhaustiveSpace(unsigned Width) {
   // The bench_tv sweep space (BENCH_TV.json "campaign"), at frost-tv's
   // defaults otherwise: flags, poison operands and poison inputs on,
-  // final memory not compared.
+  // freeze and select shapes included.
   tv::CampaignOptions O;
   O.Source = tv::CampaignSource::Exhaustive;
   O.Enum.NumInsts = 2;
@@ -199,7 +205,23 @@ tv::CampaignOptions frostbench::exhaustiveOptions(unsigned Width) {
   O.Enum.WithFlags = true;
   O.Enum.Opcodes = {Opcode::Add, Opcode::Sub, Opcode::Mul,
                     Opcode::And, Opcode::Xor, Opcode::Shl};
-  O.MaxFunctions = Width == 1 ? 2000 : 250;
+  O.Jobs = 1;
+  return O;
+}
+
+unsigned frostbench::exhaustiveSampleSize(unsigned Width) {
+  return Width == 1 ? 2000 : 500;
+}
+
+tv::CampaignOptions frostbench::exhaustiveOptions(unsigned Width,
+                                                  const std::string &Text) {
+  // The sample is checked as frost-tv --file checks a module, with the
+  // space's settings: final memory not compared, the scalar engine at i1
+  // and the bit-sliced one at i4.
+  tv::CampaignOptions O;
+  O.Source = tv::CampaignSource::File;
+  O.FileText = Text;
+  O.FilePath = "<exhaustive-sample>";
   O.TV.CompareMemory = false;
   O.TV.Engine = Width == 1 ? tv::TVEngine::Scalar : tv::TVEngine::BitSliced;
   O.Jobs = 1;
@@ -257,19 +279,120 @@ std::string frostbench::generateFileMixed(uint64_t Seed, MixedCounts *Counts) {
   return Out;
 }
 
-std::string frostbench::generateNovel(uint64_t Seed) {
-  (void)Seed;
+std::string frostbench::generateNovel() {
   return randomPrograms(NovelSeed, NovelFunctions, "nv");
 }
 
-std::string frostbench::generateExhaustiveSample(const tv::CampaignOptions &Opts,
+const char *frostbench::costClassName(unsigned Class) {
+  static const char *Names[NumCostClasses] = {"plain", "select", "freeze",
+                                              "freeze-of-poison"};
+  return Names[Class];
+}
+
+unsigned frostbench::costClass(const Function &F) {
+  bool Select = false;
+  for (BasicBlock *BB : F)
+    for (Instruction *I : *BB) {
+      if (I->getOpcode() == Opcode::Select)
+        Select = true;
+      if (I->getOpcode() != Opcode::Freeze)
+        continue;
+      // Poison propagates through every binary operator of the space, so
+      // an operand computed from a poison literal is poison on every input.
+      Value *V = I->getOperand(0);
+      bool PoisonFed = isa<PoisonValue>(V);
+      if (auto *Def = dyn_cast<Instruction>(V))
+        for (unsigned K = 0; K != Def->getNumOperands(); ++K)
+          PoisonFed |= isa<PoisonValue>(Def->getOperand(K));
+      return PoisonFed ? 3 : 2;
+    }
+  return Select ? 1 : 0;
+}
+
+std::string frostbench::generateExhaustiveSample(unsigned Width,
                                                  uint64_t Seed,
-                                                 unsigned Count) {
-  std::vector<std::string> Space = enumerateTexts(Opts, "x");
+                                                 SampleCounts *Counts) {
+  // Two passes over the whole space: one to class every function, one to
+  // print the drawn ones. A prefix of the space would not do: the
+  // enumerator puts the first instruction in its outer loop, so any prefix
+  // holds one or two first instructions only.
+  const tv::CampaignOptions Space = exhaustiveSpace(Width);
+  std::vector<std::vector<size_t>> Strata(NumCostClasses);
+  uint64_t Size = 0;
+  {
+    IRContext Ctx;
+    Module M(Ctx, "space");
+    fuzz::enumerateFunctions(M, Space.Enum, [&](Function &F) {
+      Strata[costClass(F)].push_back(Size++);
+      return true;
+    });
+  }
+  // Proportional allocation, the remainders going to the largest
+  // fractions: every seed's sample holds the same number of functions of
+  // each class. Drawn uniformly, a 500-function sample would hold
+  // 2.1 +- 1.4 of the space's 1191 freezes of a poison-fed value, each
+  // costing ~300 plain functions at i4, and its time would follow the seed.
+  const unsigned Count = exhaustiveSampleSize(Width);
+  std::vector<unsigned> Quota(NumCostClasses);
+  std::vector<std::pair<double, unsigned>> Remainders;
+  unsigned Allotted = 0;
+  for (unsigned C = 0; C != NumCostClasses; ++C) {
+    double Exact = double(Count) * double(Strata[C].size()) / double(Size);
+    Quota[C] = unsigned(Exact);
+    Allotted += Quota[C];
+    Remainders.push_back({Quota[C] - Exact, C});
+  }
+  std::sort(Remainders.begin(), Remainders.end());
+  for (unsigned I = 0; Allotted != Count; ++I, ++Allotted)
+    ++Quota[Remainders[I].second];
+
+  // Within a class, the draw is systematic: evenly spaced through the
+  // class in enumeration order, from a seeded offset. Functions with a
+  // freeze are the exception: one costs from 1 ms to 180 ms at i4 (the
+  // share of its input tuples that fall back to the scalar engine), so
+  // their picks are the same for every seed, evenly spaced from the middle
+  // of the first stride.
   std::mt19937_64 Rng(Seed * 0x9e3779b97f4a7c15ull + 2);
+  std::uniform_real_distribution<double> Unit(0.0, 1.0);
+  std::vector<size_t> Drawn;
+  for (unsigned C = 0; C != NumCostClasses; ++C) {
+    double Offset = C >= 2 ? 0.5 : Unit(Rng);
+    double Stride = double(Strata[C].size()) / double(std::max(Quota[C], 1u));
+    for (unsigned J = 0; J != Quota[C]; ++J)
+      Drawn.push_back(Strata[C][size_t((Offset + J) * Stride)]);
+  }
+  std::sort(Drawn.begin(), Drawn.end());
+
   std::string Out;
-  for (size_t I : sample(Space.size(), Count, Rng))
-    Out += Space[I] + "\n";
+  IRContext Ctx;
+  Module M(Ctx, "space");
+  uint64_t Index = 0;
+  size_t Next = 0;
+  std::map<std::string, unsigned> WithOpcode;
+  fuzz::enumerateFunctions(M, Space.Enum, [&](Function &F) {
+    if (Next == Drawn.size())
+      return false;
+    if (Index++ != Drawn[Next])
+      return true;
+    F.setName("x" + std::to_string(Next++));
+    Out += printFunction(F) + "\n";
+    std::set<std::string> Seen;
+    for (BasicBlock *BB : F)
+      for (Instruction *I : *BB)
+        if (I->getOpcode() != Opcode::Ret)
+          Seen.insert(I->getOpcodeName());
+    for (const std::string &Name : Seen)
+      ++WithOpcode[Name];
+    return true;
+  });
+  if (Counts) {
+    Counts->SpaceSize = Size;
+    for (unsigned C = 0; C != NumCostClasses; ++C) {
+      Counts->InSpace[C] = Strata[C].size();
+      Counts->InSample[C] = Quota[C];
+    }
+    Counts->WithOpcode = std::move(WithOpcode);
+  }
   return Out;
 }
 

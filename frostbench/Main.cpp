@@ -11,11 +11,15 @@
 ///   verdict-cache files that warm repetitions and the daemon start from.
 ///
 /// frost-bench run --workload W --seed S --dir D --seconds N --trace 0|1
-///                 --t0-ns T --tvd PATH [--trace-out FILE]
+///                 --tvd PATH [--trace-out FILE]
 ///   Measures W for N seconds on the inputs in D, checks the outputs, and
 ///   prints one JSON line: the end-to-end metrics (--trace 0) or, from a
-///   traced run, the per-layer metrics (--trace 1). T is the CLOCK_MONOTONIC
-///   time at which the caller started this process, the origin of setup_s.
+///   traced run, the per-layer metrics (--trace 1).
+///
+/// frost-bench setup --workload W --dir D
+///   The set-up step of a campaign workload, alone in a new process: read,
+///   parse and validate the input module, load the cache file, then print
+///   the CLOCK_MONOTONIC time. `run` spawns it to time cold set-ups.
 ///
 /// Timing: on a shared machine the same work runs at very different speeds
 /// from one moment to the next, so each run repeats one unit of work from
@@ -36,6 +40,9 @@
 #include <functional>
 #include <random>
 #include <sstream>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace frost;
 using namespace frostbench;
@@ -83,13 +90,13 @@ struct Args {
   uint64_t Seed = 0;
   double Seconds = 10;
   bool Trace = false;
-  double T0 = 0;
 };
 
-/// Requests per repetition of the in-process request loop of the campaign
-/// workloads, and of the daemon's interactive lane: enough for a p90 with
-/// ten samples beyond it.
+/// Requests per repetition of the in-process request loop of the exhaustive
+/// workloads, and of the daemon's interactive lane.
 constexpr unsigned RequestsPerRep = 100;
+/// Cold set-ups timed per run, one per round until there are this many.
+constexpr unsigned SetupsPerRun = 30;
 
 //===----------------------------------------------------------------------===//
 // Metrics
@@ -136,10 +143,10 @@ std::vector<Job> workloadJobs(Workload W, const std::string &FileText) {
   std::vector<Job> Jobs;
   switch (W) {
   case Workload::ExhaustiveI1:
-    Jobs.push_back({"exhaustive", exhaustiveOptions(1)});
+    Jobs.push_back({"exhaustive", exhaustiveOptions(1, FileText)});
     break;
   case Workload::ExhaustiveI4:
-    Jobs.push_back({"exhaustive", exhaustiveOptions(4)});
+    Jobs.push_back({"exhaustive", exhaustiveOptions(4, FileText)});
     break;
   case Workload::FileMixed:
     for (const Config &C : fileMixedConfigs()) {
@@ -190,21 +197,6 @@ double total(const std::vector<double> &V) {
     S += X;
   return S;
 }
-
-/// The best time of each part of a repetition (each campaign of a cold
-/// pass, say) over all repetitions. A part is short, so its best is more
-/// likely to fall in a moment when the machine runs at full speed than
-/// the best of the whole repetition is.
-struct PartBest {
-  std::vector<double> Best;
-  void add(const std::vector<double> &Times) {
-    if (Best.empty())
-      Best = Times;
-    for (size_t I = 0; I != Times.size(); ++I)
-      Best[I] = std::min(Best[I], Times[I]);
-  }
-  double sum() const { return total(Best); }
-};
 
 uint64_t functionsOf(const std::vector<tv::CampaignResult> &Rs) {
   uint64_t N = 0;
@@ -259,6 +251,10 @@ void checkExhaustive(unsigned Width, const tv::CampaignResult &R) {
   if (R.InputsChecked != Expected)
     fail("inputs checked " + std::to_string(R.InputsChecked) +
          " != functions x (2^w+1)^3 = " + std::to_string(Expected));
+  // Every sample holds freezes of a poison-fed value, whose lanes the
+  // bit-sliced engine must hand to the scalar one.
+  if (Width == 4 && !R.ScalarFallbacks)
+    fail("the i4 sample never fell back to the scalar engine");
 }
 
 /// The legacy pipeline convicts every hand-written Section 3 function and
@@ -394,9 +390,24 @@ void saveCache(const tv::VerdictCache &VC, const std::string &Path) {
 int gen(const Args &A) {
   const std::string &D = A.Dir;
   if (A.W == Workload::ExhaustiveI1 || A.W == Workload::ExhaustiveI4) {
-    std::vector<Job> Jobs = workloadJobs(A.W, "");
-    writeFile(D + "/requests.fr", generateExhaustiveSample(
-                                      Jobs[0].Opts, A.Seed, RequestsPerRep));
+    const unsigned Width = A.W == Workload::ExhaustiveI4 ? 4 : 1;
+    SampleCounts SC;
+    std::string Sample = generateExhaustiveSample(Width, A.Seed, &SC);
+    writeFile(D + "/module.fr", Sample);
+    std::fprintf(stderr,
+                 "frost-bench gen: i%u seed %llu: %u of %llu functions; "
+                 "functions holding each opcode:",
+                 Width, (unsigned long long)A.Seed, exhaustiveSampleSize(Width),
+                 (unsigned long long)SC.SpaceSize);
+    for (const auto &[Name, N] : SC.WithOpcode)
+      std::fprintf(stderr, " %s %u", Name.c_str(), N);
+    std::fprintf(stderr, "; strata (sample / space):");
+    for (unsigned C = 0; C != NumCostClasses; ++C)
+      std::fprintf(stderr, " %s %llu/%llu", costClassName(C),
+                   (unsigned long long)SC.InSample[C],
+                   (unsigned long long)SC.InSpace[C]);
+    std::fprintf(stderr, "\n");
+    std::vector<Job> Jobs = workloadJobs(A.W, Sample);
     tv::VerdictCache VC;
     std::vector<tv::CampaignResult> Rs;
     runJobs(Jobs, "", Rs, &VC);
@@ -422,7 +433,7 @@ int gen(const Args &A) {
   // daemon-mixed: the daemon starts from file-mixed's cold pass; the warm
   // in-process replay starts from that plus the novel functions' verdicts.
   saveCache(VC, D + "/preload.cache");
-  std::string Novel = generateNovel(A.Seed);
+  std::string Novel = generateNovel();
   writeFile(D + "/novel.fr", Novel);
   std::vector<Job> Bulk = workloadJobs(Workload::DaemonMixed, Module + Novel);
   runJobs(Bulk, "", Rs, &VC);
@@ -431,12 +442,73 @@ int gen(const Args &A) {
 }
 
 //===----------------------------------------------------------------------===//
+// Set-up
+//===----------------------------------------------------------------------===//
+
+/// The set-up step of a campaign workload: read, parse and validate the
+/// input module, then load the cache file. Returns the module, or exits 2.
+std::string setUp(const std::string &Dir) {
+  std::string Input = readFile(Dir + "/module.fr");
+  std::string Error;
+  if (!tv::validateFileCampaign(Input, "module.fr", &Error)) {
+    std::fprintf(stderr, "frost-bench: %s\n", Error.c_str());
+    std::exit(2);
+  }
+  tv::VerdictCache VC;
+  if (!VC.load(Dir + "/warm.cache", &Error)) {
+    std::fprintf(stderr, "frost-bench: %s\n", Error.c_str());
+    std::exit(2);
+  }
+  return Input;
+}
+
+/// One cold set-up: spawns `frost-bench setup` and returns the seconds from
+/// just before the spawn to the end of its set-up step. A second set-up in
+/// this process would find its code and allocator warm, so each set-up
+/// gets a new process.
+double coldSetUp(const Args &A) {
+  int Pipe[2];
+  if (::pipe(Pipe) != 0) {
+    fail("pipe failed");
+    return 0;
+  }
+  const char *Workload = A.W == Workload::ExhaustiveI1   ? "exhaustive-i1"
+                         : A.W == Workload::ExhaustiveI4 ? "exhaustive-i4"
+                                                         : "file-mixed";
+  const char *Argv[] = {"/proc/self/exe", "setup",       "--workload",
+                        Workload,         "--dir",       A.Dir.c_str(),
+                        nullptr};
+  double T0 = nowSeconds();
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    ::dup2(Pipe[1], STDOUT_FILENO);
+    ::close(Pipe[0]);
+    ::close(Pipe[1]);
+    ::execv(Argv[0], const_cast<char **>(Argv));
+    ::_exit(127);
+  }
+  ::close(Pipe[1]);
+  std::string Out;
+  char Buf[64];
+  ssize_t N;
+  while (Pid > 0 && (N = ::read(Pipe[0], Buf, sizeof(Buf))) > 0)
+    Out.append(Buf, size_t(N));
+  ::close(Pipe[0]);
+  int Status = 0;
+  if (Pid < 0 || ::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status) ||
+      WEXITSTATUS(Status) != 0 || Out.empty()) {
+    fail("the set-up process failed");
+    return 0;
+  }
+  return std::strtod(Out.c_str(), nullptr) - T0;
+}
+
+//===----------------------------------------------------------------------===//
 // run: the campaign workloads
 //===----------------------------------------------------------------------===//
 
 struct Rounds {
-  PartBest Cold, Warm, Requests;
-  std::vector<double> P50, P90;
+  std::vector<double> Cold, Warm, Requests, Setup;
   uint64_t Attempted = 0;
   unsigned N = 0;
 };
@@ -458,12 +530,16 @@ struct TracedRep {
   std::map<std::string, double> Self;
   uint64_t Functions = 0, Invalid = 0, Hits = 0, Misses = 0, Inputs = 0,
            CheckedInputs = 0, AAQueries = 0, Batches = 0, Fallbacks = 0,
-           Spills = 0;
+           Spills = 0, Enumerated = 0;
 };
 
+/// One traced repetition of \p Jobs. When \p Space is set (the exhaustive
+/// workloads), a separate part then enumerates as many functions of that
+/// space as the campaigns checked, timed in its own span: the sample is
+/// checked from a module, so the campaigns themselves do not enumerate.
 TracedRep tracedRep(std::vector<Job> &Jobs, const std::string &CacheFile,
                     const std::vector<tv::CampaignResult> &Untraced,
-                    Tracer &T) {
+                    Tracer &T, const tv::CampaignOptions *Space = nullptr) {
   TracedRep Out;
   tv::VerdictCache VC;
   if (!CacheFile.empty() && !VC.load(CacheFile))
@@ -487,8 +563,11 @@ TracedRep tracedRep(std::vector<Job> &Jobs, const std::string &CacheFile,
     Out.Misses += C.Misses;
     Out.Inputs += C.InputsChecked;
   }
+  Out.Wall = nowSeconds() - T0;
+  if (Space)
+    Out.Enumerated = tracedEnumerate(Space->Enum, Out.Functions, T);
   Out.Self = T.selfTimes();
-  Out.Wall = nowSeconds() - T0 - Out.Self["codegen.compile"];
+  Out.Wall -= Out.Self["codegen.compile"];
   Out.AAQueries = counter("aa.queries") - AA;
   Out.Batches = counter("tv.bitsliced_batches") - Batches;
   Out.Fallbacks = counter("tv.scalar_fallbacks") - Fallbacks;
@@ -506,10 +585,11 @@ void layerMetrics(TracedRep &R, double Untraced, double CacheLoad,
   double E2E = std::max(0.0, R.Self["tv.e2e"] - Probe);
   double Layers = 0;
   for (const auto &[Name, S] : R.Self)
-    if (Name != "campaign")
+    if (Name != "campaign" && Name != "fuzz.enumerate")
       Layers += S;
   Layers -= Probe; // The probe's time is moved out of tv.e2e, not added.
-  metric("fuzz.enumerate_us", "us/fn", Us("fuzz.enumerate"));
+  metric("fuzz.enumerate_us", "us/fn",
+         ratio(R.Self["fuzz.enumerate"] * 1e6, double(R.Enumerated)));
   metric("ir.print_us", "us/fn", Us("ir.print"));
   metric("ir.clone_us", "us/fn", Us("ir.clone"));
   metric("ir.canon_us", "us/fn", Us("ir.canon"));
@@ -543,8 +623,10 @@ void layerMetrics(TracedRep &R, double Untraced, double CacheLoad,
   metric("trace.functions", "count", N);
 }
 
-void serviceMetrics(double Rtt, double Overhead, double Waits, double Util) {
+void serviceMetrics(double Rtt, double Interactive, double Overhead,
+                    double Waits, double Util) {
   metric("service.rtt_ms", "ms", Rtt);
+  metric("service.interactive_p50_ms", "ms", Interactive);
   metric("service.overhead_ms", "ms", Overhead);
   metric("service.backpressure_waits", "waits", Waits);
   metric("support.cpu_util", "ratio", Util);
@@ -576,31 +658,23 @@ int runCampaignWorkload(const Args &A) {
   const unsigned Width = A.W == Workload::ExhaustiveI4 ? 4 : 1;
   const std::string WarmFile = D + "/warm.cache";
 
-  // Set-up, from process start: read, parse and validate the inputs, then
-  // load the cache file.
-  std::string Input = readFile(D + (Exhaustive ? "/requests.fr" : "/module.fr"));
-  std::string Error;
-  if (!tv::validateFileCampaign(Input, "input", &Error)) {
-    std::fprintf(stderr, "frost-bench: %s\n", Error.c_str());
-    return 2;
-  }
-  std::vector<Job> Jobs = workloadJobs(A.W, Exhaustive ? "" : Input);
+  std::string Input = setUp(D);
+  std::vector<Job> Jobs = workloadJobs(A.W, Input);
   // Each job's requests: its own space's functions (for the exhaustive
-  // workloads, the seeded sample in requests.fr).
+  // workloads, RequestsPerRep of the sample's, evenly spaced through it).
   std::vector<std::vector<std::string>> ReqFns;
   size_t NReq = 0;
   for (const Job &J : Jobs) {
-    ReqFns.push_back(standaloneFunctions(Exhaustive ? Input : J.Opts.FileText));
-    NReq += ReqFns.back().size();
-  }
-  {
-    tv::VerdictCache VC;
-    if (!VC.load(WarmFile, &Error)) {
-      std::fprintf(stderr, "frost-bench: %s\n", Error.c_str());
-      return 2;
+    std::vector<std::string> Fns = standaloneFunctions(J.Opts.FileText);
+    if (Exhaustive) {
+      std::vector<std::string> Stride;
+      for (size_t I = 0; I != RequestsPerRep; ++I)
+        Stride.push_back(Fns[I * Fns.size() / RequestsPerRep]);
+      Fns = std::move(Stride);
     }
+    NReq += Fns.size();
+    ReqFns.push_back(std::move(Fns));
   }
-  double Setup = nowSeconds() - A.T0;
 
   std::vector<tv::CampaignResult> Cold, Warm, First;
   std::vector<std::vector<tv::CampaignResult>> Req(Jobs.size());
@@ -608,41 +682,46 @@ int runCampaignWorkload(const Args &A) {
 
   if (!A.Trace) {
     repeat(A.Seconds, [&] {
+      if (R.Setup.size() < SetupsPerRun)
+        R.Setup.push_back(coldSetUp(A));
       std::vector<double> ColdT = runJobs(Jobs, "", Cold);
-      std::vector<double> WarmT = runJobs(Jobs, WarmFile, Warm);
-      R.Cold.add(ColdT);
-      R.Warm.add(WarmT);
+      R.Cold.push_back(total(ColdT));
       if (First.empty())
         First = Cold;
       else
         for (size_t I = 0; I != Cold.size(); ++I)
           if (Cold[I].report() != First[I].report())
             fail("a cold repetition's report changed between repetitions");
-      checkWarm(Cold, Warm);
-      R.Attempted += 2 * functionsOf(Cold);
+      R.Attempted += functionsOf(Cold);
 
-      // Requests: single-function campaigns against the warm cache.
-      tv::VerdictCache VC;
-      VC.load(WarmFile);
-      std::vector<double> Lat, ReqT;
-      for (size_t J = 0; J != Jobs.size(); ++J) {
-        Req[J].clear();
+      // Warm and request repetitions are far cheaper than a cold one; a
+      // round repeats them for about half as long as its cold repetition
+      // took, so that their bests too are drawn from many moments.
+      double Spent = 0;
+      do {
+        double Start = nowSeconds();
+        std::vector<double> WarmT = runJobs(Jobs, WarmFile, Warm);
+        R.Warm.push_back(total(WarmT));
+        checkWarm(Cold, Warm);
+        R.Attempted += functionsOf(Warm);
+
+        // Requests: single-function campaigns against the warm cache.
+        tv::VerdictCache VC;
+        VC.load(WarmFile);
         double T0 = nowSeconds();
-        for (const std::string &Fn : ReqFns[J]) {
-          double S = nowSeconds();
-          Req[J].push_back(runRequest(Jobs[J], Fn, VC));
-          Lat.push_back((nowSeconds() - S) * 1e3);
+        for (size_t J = 0; J != Jobs.size(); ++J) {
+          Req[J].clear();
+          for (const std::string &Fn : ReqFns[J])
+            Req[J].push_back(runRequest(Jobs[J], Fn, VC));
         }
-        ReqT.push_back(nowSeconds() - T0);
-      }
-      R.Requests.add(ReqT);
-      std::fprintf(stderr,
-                   "round %u: cold %.4f s, warm %.4f s, requests %.4f s\n",
-                   R.N, total(ColdT), total(WarmT), total(ReqT));
-      R.P50.push_back(percentile(Lat, 50));
-      R.P90.push_back(percentile(Lat, 90));
-      R.Attempted += Lat.size();
-      checkRequests(A.W, Jobs, Cold, Req);
+        R.Requests.push_back(nowSeconds() - T0);
+        R.Attempted += NReq;
+        checkRequests(A.W, Jobs, Cold, Req);
+        Spent += nowSeconds() - Start;
+      } while (Spent < total(ColdT) / 2);
+      std::fprintf(stderr, "round %u: cold %.4f s, warm best %.4f s, "
+                   "requests best %.4f s\n",
+                   R.N, total(ColdT), minOf(R.Warm), minOf(R.Requests));
     }, R.N);
     double Rss = peakRssMb();
 
@@ -651,7 +730,10 @@ int runCampaignWorkload(const Args &A) {
       checkExhaustive(Width, Cold[0]);
       // A subsample (the request functions) checked three ways must give
       // the same report bytes: this engine, the scalar engine, no cache.
-      tv::CampaignOptions Sub = requestOptions(Jobs[0], Input);
+      std::string Requests;
+      for (const std::string &Fn : ReqFns[0])
+        Requests += Fn + "\n";
+      tv::CampaignOptions Sub = requestOptions(Jobs[0], Requests);
       std::string Ref = tv::runCampaign(Sub).report();
       tv::CampaignOptions Scalar = Sub;
       Scalar.TV.Engine = tv::TVEngine::Scalar;
@@ -666,18 +748,17 @@ int runCampaignWorkload(const Args &A) {
     }
 
     uint64_t Fns1 = functionsOf(Cold);
-    metric("fns_per_s", "functions/s", double(Fns1) / R.Cold.sum());
-    metric("warm_fns_per_s", "functions/s", double(Fns1) / R.Warm.sum());
-    metric("requests_per_s", "requests/s", double(NReq) / R.Requests.sum());
-    metric("interactive_p50_ms", "ms", minOf(R.P50));
-    metric("interactive_p90_ms", "ms", minOf(R.P90));
-    metric("setup_s", "s", Setup);
+    metric("fns_per_s", "functions/s", double(Fns1) / minOf(R.Cold));
+    metric("warm_fns_per_s", "functions/s", double(Fns1) / minOf(R.Warm));
+    metric("requests_per_s", "requests/s", double(NReq) / minOf(R.Requests));
+    metric("setup_s", "s", minOf(R.Setup));
     metric("peak_rss_mb", "MB", Rss);
     Attempted = R.Attempted;
     std::fprintf(stderr,
                  "frost-bench: %u rounds; cold best %.4f s, warm best %.4f "
-                 "s, requests best %.4f s\n",
-                 R.N, R.Cold.sum(), R.Warm.sum(), R.Requests.sum());
+                 "s, requests best %.4f s, set-up best %.4f s\n",
+                 R.N, minOf(R.Cold), minOf(R.Warm), minOf(R.Requests),
+                 minOf(R.Setup));
     return 0;
   }
 
@@ -687,9 +768,10 @@ int runCampaignWorkload(const Args &A) {
   TracedRep Best;
   Tracer BestTrace;
   std::vector<double> Untraced, Load, Save;
+  const tv::CampaignOptions Space = exhaustiveSpace(Width);
   repeat(A.Seconds, [&] {
     Untraced.push_back(total(runJobs(Jobs, "", Cold)));
-    TracedRep Rep = tracedRep(Jobs, "", Cold, T);
+    TracedRep Rep = tracedRep(Jobs, "", Cold, T, Exhaustive ? &Space : nullptr);
     if (Best.Functions == 0 || Rep.Wall < Best.Wall) {
       Best = Rep;
       BestTrace = T;
@@ -699,7 +781,7 @@ int runCampaignWorkload(const Args &A) {
   }, R.N);
   Attempted = R.Attempted;
   layerMetrics(Best, minOf(Untraced), minOf(Load), minOf(Save));
-  serviceMetrics(0, 0, 0, 0);
+  serviceMetrics(0, 0, 0, 0, 0);
   if (!A.TraceOut.empty())
     BestTrace.write(A.TraceOut);
   return 0;
@@ -741,7 +823,11 @@ int runDaemonWorkload(const Args &A) {
     for (const std::string &Fn : NovelFns)
       Bulk.push_back(Request(C, Fn, true));
   }
-  std::mt19937_64 Rng(A.Seed * 0x9e3779b97f4a7c15ull + 3);
+  // The bulk stream is interleaved in the same order for every seed: which
+  // requests meet on the daemon's two workers sets its peak memory and how
+  // evenly they share the work, and with a seeded order the daemon's peak
+  // RSS took 7.6 or 8.3 MB and its throughput moved by 20% with the seed.
+  std::mt19937_64 Rng(3);
   std::shuffle(Bulk.begin(), Bulk.end(), Rng);
   std::vector<DaemonRequest> CachedIR;
   for (const DaemonRequest &Q : Bulk)
@@ -772,13 +858,12 @@ int runDaemonWorkload(const Args &A) {
   std::vector<tv::CampaignResult> Rs, Ws;
   unsigned N = 0;
   if (!A.Trace) {
-    PartBest Cold, Warm;
-    std::vector<double> BulkT, P50, P90, Rss, Setup;
+    std::vector<double> Cold, Warm, BulkT, Rss, Setup;
     repeat(A.Seconds, [&] {
       std::vector<double> ColdT = runJobs(Jobs, Preload, Rs);
       std::vector<double> WarmT = runJobs(Jobs, WarmFile, Ws);
-      Cold.add(ColdT);
-      Warm.add(WarmT);
+      Cold.push_back(total(ColdT));
+      Warm.push_back(total(WarmT));
       checkWarm(Rs, Ws);
       DaemonRepResult DR = runDaemonRep(A.Tvd, D, Preload, Bulk, Inter, {});
       Setup.push_back(DR.SetupSeconds);
@@ -789,32 +874,28 @@ int runDaemonWorkload(const Args &A) {
                    "s, interactive p50 %.3f ms\n",
                    N, total(ColdT), total(WarmT), DR.BulkSeconds,
                    percentile(DR.InteractiveMs, 50));
-      P50.push_back(percentile(DR.InteractiveMs, 50));
-      P90.push_back(percentile(DR.InteractiveMs, 90));
       Rss.push_back(DR.PeakRssMb);
     }, N);
     for (size_t I = 0; I != Jobs.size(); ++I)
       expectClean(Jobs[I].Name + " (batched bulk traffic)", Rs[I]);
     double Fns = double(functionsOf(Rs));
-    metric("fns_per_s", "functions/s", Fns / Cold.sum());
-    metric("warm_fns_per_s", "functions/s", Fns / Warm.sum());
+    metric("fns_per_s", "functions/s", Fns / minOf(Cold));
+    metric("warm_fns_per_s", "functions/s", Fns / minOf(Warm));
     metric("requests_per_s", "requests/s", double(Bulk.size()) / minOf(BulkT));
-    metric("interactive_p50_ms", "ms", minOf(P50));
-    metric("interactive_p90_ms", "ms", minOf(P90));
     // Every repetition starts a new daemon process, so each set-up is a
-    // cold one; their median is the run's set-up time.
-    metric("setup_s", "s", percentile(Setup, 50));
+    // cold one.
+    metric("setup_s", "s", minOf(Setup));
     metric("peak_rss_mb", "MB", minOf(Rss));
     std::fprintf(stderr,
                  "frost-bench: %u rounds; batched best %.4f s, warm best "
                  "%.4f s, daemon bulk best %.4f s\n",
-                 N, Cold.sum(), Warm.sum(), minOf(BulkT));
+                 N, minOf(Cold), minOf(Warm), minOf(BulkT));
     return 0;
   }
 
   Tracer T, BestTrace;
   TracedRep Best;
-  std::vector<double> Untraced, Load, Save, Rtt, Overhead, Waits;
+  std::vector<double> Untraced, Load, Save, Rtt, Inter50, Overhead, Waits;
   double BestBulk = 0, Util = 0;
   repeat(A.Seconds, [&] {
     Untraced.push_back(total(runJobs(Jobs, Preload, Rs)));
@@ -838,6 +919,7 @@ int runDaemonWorkload(const Args &A) {
       Diff.push_back(DR.ProbeRttMs[I] - (nowSeconds() - S) * 1e3);
     }
     Rtt.push_back(percentile(DR.BulkRttMs, 50));
+    Inter50.push_back(percentile(DR.InteractiveMs, 50));
     Overhead.push_back(percentile(Diff, 50));
     Waits.push_back(double(DR.BackpressureWaits));
     if (BestBulk == 0 || DR.BulkSeconds < BestBulk) {
@@ -846,7 +928,8 @@ int runDaemonWorkload(const Args &A) {
     }
   }, N);
   layerMetrics(Best, minOf(Untraced), minOf(Load), minOf(Save));
-  serviceMetrics(minOf(Rtt), minOf(Overhead), percentile(Waits, 50), Util);
+  serviceMetrics(minOf(Rtt), minOf(Inter50), minOf(Overhead),
+                 percentile(Waits, 50), Util);
   if (!A.TraceOut.empty())
     BestTrace.write(A.TraceOut);
   return 0;
@@ -871,7 +954,7 @@ int main(int argc, char **argv) {
   std::signal(SIGPIPE, SIG_IGN);
   Args A;
   if (argc < 2)
-    usage("usage: frost-bench gen|run --workload W --seed S --dir D ...");
+    usage("usage: frost-bench gen|run|setup --workload W --dir D ...");
   A.Mode = argv[1];
   for (int I = 2; I < argc; ++I) {
     std::string F = argv[I];
@@ -897,8 +980,6 @@ int main(int argc, char **argv) {
       A.Seconds = std::strtod(V.c_str(), nullptr);
     else if (F == "--trace")
       A.Trace = V == "1";
-    else if (F == "--t0-ns")
-      A.T0 = std::strtod(V.c_str(), nullptr) / 1e9;
     else if (F == "--tvd")
       A.Tvd = V;
     else if (F == "--trace-out")
@@ -910,10 +991,15 @@ int main(int argc, char **argv) {
     usage("--dir is required");
   if (A.Mode == "gen")
     return gen(A);
+  if (A.Mode == "setup") {
+    if (A.W == Workload::DaemonMixed)
+      usage("daemon-mixed times the daemon's own start");
+    setUp(A.Dir);
+    std::printf("%.9f\n", nowSeconds());
+    return 0;
+  }
   if (A.Mode != "run")
-    usage("mode must be gen or run");
-  if (A.T0 == 0)
-    A.T0 = nowSeconds();
+    usage("mode must be gen, run or setup");
 
   int RC = A.W == Workload::DaemonMixed ? runDaemonWorkload(A)
                                         : runCampaignWorkload(A);

@@ -360,19 +360,6 @@ struct Campaign {
         Flush();
     };
 
-    if (Opts.Source == tv::CampaignSource::Exhaustive) {
-      IRContext Ctx;
-      Module M(Ctx, "campaign");
-      ScopedSpan S(&T, "fuzz.enumerate");
-      fuzz::enumerateFunctions(M, Opts.Enum, [&](Function &F) {
-        if (Index >= Opts.MaxFunctions)
-          return false;
-        Add(F);
-        return true;
-      });
-      Flush();
-      return;
-    }
     IRContext Ctx;
     Module M(Ctx, "campaign");
     {
@@ -387,6 +374,16 @@ struct Campaign {
 };
 
 } // namespace
+
+uint64_t frostbench::tracedEnumerate(const fuzz::EnumOptions &Enum,
+                                     uint64_t Count, Tracer &T) {
+  IRContext Ctx;
+  Module M(Ctx, "space");
+  uint64_t N = 0;
+  ScopedSpan S(&T, "fuzz.enumerate");
+  fuzz::enumerateFunctions(M, Enum, [&](Function &) { return ++N < Count; });
+  return N;
+}
 
 Counts frostbench::tracedCampaign(const tv::CampaignOptions &Opts, Tracer &T,
                                   uint64_t &CheckedInputs) {

@@ -19,7 +19,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 
 WORKLOADS = ["exhaustive-i1", "exhaustive-i4", "file-mixed", "daemon-mixed"]
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -96,8 +95,6 @@ def main():
         cmd = [bench, "run"] + common + [
             "--seconds", repr(a.seconds), "--trace", str(a.trace),
             "--tvd", tvd, "--trace-out", trace_out]
-        # setup_s counts from here: the measured process's start.
-        cmd += ["--t0-ns", str(time.monotonic_ns())]
         rc, out = run_child(cmd, RUN_TIMEOUT_S)
         if rc != 0:
             log("benchmark failed (exit %d)" % rc)
