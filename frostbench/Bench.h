@@ -43,6 +43,14 @@ inline double nowSeconds() {
 void fail(const std::string &Why);
 bool failed();
 
+/// One run of the machine's speed probe (SpeedProbe.cpp): a fixed piece of
+/// work in the benchmark's own code, no frost code. Returns its wall time.
+double speedProbeSeconds();
+/// The probe's best time on the reference machine (README.md, "Reference
+/// figures"). A run whose best probe took longer ran on a slower machine,
+/// or in a slower phase of this one, by that ratio.
+constexpr double SpeedProbeReferenceSeconds = 0.018;
+
 /// Reads a whole file; aborts the run (exit 2) when it cannot.
 std::string readFile(const std::string &Path);
 void writeFile(const std::string &Path, const std::string &Text);

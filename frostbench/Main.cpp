@@ -21,10 +21,16 @@
 ///   parse and validate the input module, load the cache file, then print
 ///   the CLOCK_MONOTONIC time. `run` spawns it to time cold set-ups.
 ///
+/// frost-bench probe
+///   Runs the speed probe (SpeedProbe.cpp) twice and prints the second
+///   one's seconds. `run` spawns it once per round.
+///
 /// Timing: on a shared machine the same work runs at very different speeds
 /// from one moment to the next, so each run repeats one unit of work from
 /// the same starting state for the whole run and reports, per metric, the
-/// best repetition. README.md gives the numbers behind this choice.
+/// best repetition, scaled by the machine's speed in the run as the speed
+/// probe (SpeedProbe.cpp) saw it. README.md gives the numbers behind this
+/// choice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,6 +132,14 @@ double percentile(std::vector<double> V, double P) {
 }
 
 double ratio(double A, double B) { return B > 0 ? A / B : 0; }
+
+/// How much slower than at its reference speed the machine ran in this run:
+/// the best of the run's speed probes over the reference time. A time
+/// divided by it, or a rate multiplied by it, reads as if the run had the
+/// reference speed.
+double slowdown(const std::vector<double> &Probes) {
+  return minOf(Probes) / SpeedProbeReferenceSeconds;
+}
 
 uint64_t counter(const char *Name) { return stats::get(Name); }
 
@@ -462,23 +476,14 @@ std::string setUp(const std::string &Dir) {
   return Input;
 }
 
-/// One cold set-up: spawns `frost-bench setup` and returns the seconds from
-/// just before the spawn to the end of its set-up step. A second set-up in
-/// this process would find its code and allocator warm, so each set-up
-/// gets a new process.
-double coldSetUp(const Args &A) {
+/// Runs this program with \p Argv in a new process, waits for it, and
+/// returns the number it printed, or fails the run and returns 0.
+double runSelf(const char *const *Argv) {
   int Pipe[2];
   if (::pipe(Pipe) != 0) {
     fail("pipe failed");
     return 0;
   }
-  const char *Workload = A.W == Workload::ExhaustiveI1   ? "exhaustive-i1"
-                         : A.W == Workload::ExhaustiveI4 ? "exhaustive-i4"
-                                                         : "file-mixed";
-  const char *Argv[] = {"/proc/self/exe", "setup",       "--workload",
-                        Workload,         "--dir",       A.Dir.c_str(),
-                        nullptr};
-  double T0 = nowSeconds();
   pid_t Pid = ::fork();
   if (Pid == 0) {
     ::dup2(Pipe[1], STDOUT_FILENO);
@@ -497,10 +502,33 @@ double coldSetUp(const Args &A) {
   int Status = 0;
   if (Pid < 0 || ::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status) ||
       WEXITSTATUS(Status) != 0 || Out.empty()) {
-    fail("the set-up process failed");
+    fail(std::string("frost-bench ") + Argv[1] + " failed");
     return 0;
   }
-  return std::strtod(Out.c_str(), nullptr) - T0;
+  return std::strtod(Out.c_str(), nullptr);
+}
+
+/// One cold set-up: spawns `frost-bench setup` and returns the seconds from
+/// just before the spawn to the end of its set-up step. A second set-up in
+/// this process would find its code and allocator warm, so each set-up
+/// gets a new process.
+double coldSetUp(const Args &A) {
+  const char *Workload = A.W == Workload::ExhaustiveI1   ? "exhaustive-i1"
+                         : A.W == Workload::ExhaustiveI4 ? "exhaustive-i4"
+                                                         : "file-mixed";
+  const char *Argv[] = {"/proc/self/exe", "setup",       "--workload",
+                        Workload,         "--dir",       A.Dir.c_str(),
+                        nullptr};
+  double T0 = nowSeconds();
+  return runSelf(Argv) - T0;
+}
+
+/// One speed probe, in a new `frost-bench probe` process: in this one it
+/// would share the heap frost's work left behind, and add its memory to
+/// the peak RSS this process reports.
+double speedProbe() {
+  const char *Argv[] = {"/proc/self/exe", "probe", nullptr};
+  return runSelf(Argv);
 }
 
 //===----------------------------------------------------------------------===//
@@ -508,7 +536,7 @@ double coldSetUp(const Args &A) {
 //===----------------------------------------------------------------------===//
 
 struct Rounds {
-  std::vector<double> Cold, Warm, Requests, Setup;
+  std::vector<double> Cold, Warm, Requests, Setup, Speed;
   uint64_t Attempted = 0;
   unsigned N = 0;
 };
@@ -682,6 +710,7 @@ int runCampaignWorkload(const Args &A) {
 
   if (!A.Trace) {
     repeat(A.Seconds, [&] {
+      R.Speed.push_back(speedProbe());
       if (R.Setup.size() < SetupsPerRun)
         R.Setup.push_back(coldSetUp(A));
       std::vector<double> ColdT = runJobs(Jobs, "", Cold);
@@ -748,17 +777,21 @@ int runCampaignWorkload(const Args &A) {
     }
 
     uint64_t Fns1 = functionsOf(Cold);
-    metric("fns_per_s", "functions/s", double(Fns1) / minOf(R.Cold));
-    metric("warm_fns_per_s", "functions/s", double(Fns1) / minOf(R.Warm));
-    metric("requests_per_s", "requests/s", double(NReq) / minOf(R.Requests));
-    metric("setup_s", "s", minOf(R.Setup));
+    const double Slow = slowdown(R.Speed);
+    metric("fns_per_s", "functions/s", double(Fns1) / minOf(R.Cold) * Slow);
+    metric("warm_fns_per_s", "functions/s",
+           double(Fns1) / minOf(R.Warm) * Slow);
+    metric("requests_per_s", "requests/s",
+           double(NReq) / minOf(R.Requests) * Slow);
+    metric("setup_s", "s", minOf(R.Setup) / Slow);
     metric("peak_rss_mb", "MB", Rss);
     Attempted = R.Attempted;
     std::fprintf(stderr,
                  "frost-bench: %u rounds; cold best %.4f s, warm best %.4f "
-                 "s, requests best %.4f s, set-up best %.4f s\n",
+                 "s, requests best %.4f s, set-up best %.4f s, speed probe "
+                 "best %.4f s (slowdown %.3f)\n",
                  R.N, minOf(R.Cold), minOf(R.Warm), minOf(R.Requests),
-                 minOf(R.Setup));
+                 minOf(R.Setup), minOf(R.Speed), Slow);
     return 0;
   }
 
@@ -858,8 +891,9 @@ int runDaemonWorkload(const Args &A) {
   std::vector<tv::CampaignResult> Rs, Ws;
   unsigned N = 0;
   if (!A.Trace) {
-    std::vector<double> Cold, Warm, BulkT, Rss, Setup;
+    std::vector<double> Cold, Warm, BulkT, Rss, Setup, Speed;
     repeat(A.Seconds, [&] {
+      Speed.push_back(speedProbe());
       std::vector<double> ColdT = runJobs(Jobs, Preload, Rs);
       std::vector<double> WarmT = runJobs(Jobs, WarmFile, Ws);
       Cold.push_back(total(ColdT));
@@ -879,17 +913,21 @@ int runDaemonWorkload(const Args &A) {
     for (size_t I = 0; I != Jobs.size(); ++I)
       expectClean(Jobs[I].Name + " (batched bulk traffic)", Rs[I]);
     double Fns = double(functionsOf(Rs));
-    metric("fns_per_s", "functions/s", Fns / minOf(Cold));
-    metric("warm_fns_per_s", "functions/s", Fns / minOf(Warm));
-    metric("requests_per_s", "requests/s", double(Bulk.size()) / minOf(BulkT));
+    const double Slow = slowdown(Speed);
+    metric("fns_per_s", "functions/s", Fns / minOf(Cold) * Slow);
+    metric("warm_fns_per_s", "functions/s", Fns / minOf(Warm) * Slow);
+    metric("requests_per_s", "requests/s",
+           double(Bulk.size()) / minOf(BulkT) * Slow);
     // Every repetition starts a new daemon process, so each set-up is a
     // cold one.
-    metric("setup_s", "s", minOf(Setup));
+    metric("setup_s", "s", minOf(Setup) / Slow);
     metric("peak_rss_mb", "MB", minOf(Rss));
     std::fprintf(stderr,
                  "frost-bench: %u rounds; batched best %.4f s, warm best "
-                 "%.4f s, daemon bulk best %.4f s\n",
-                 N, minOf(Cold), minOf(Warm), minOf(BulkT));
+                 "%.4f s, daemon bulk best %.4f s, set-up best %.4f s, speed "
+                 "probe best %.4f s (slowdown %.3f)\n",
+                 N, minOf(Cold), minOf(Warm), minOf(BulkT), minOf(Setup),
+                 minOf(Speed), Slow);
     return 0;
   }
 
@@ -954,8 +992,15 @@ int main(int argc, char **argv) {
   std::signal(SIGPIPE, SIG_IGN);
   Args A;
   if (argc < 2)
-    usage("usage: frost-bench gen|run|setup --workload W --dir D ...");
+    usage("usage: frost-bench gen|run|setup --workload W --dir D ... | probe");
   A.Mode = argv[1];
+  if (A.Mode == "probe") {
+    // The first probe of a new process meets cold caches; the second is
+    // the measurement.
+    speedProbeSeconds();
+    std::printf("%.9f\n", speedProbeSeconds());
+    return 0;
+  }
   for (int I = 2; I < argc; ++I) {
     std::string F = argv[I];
     if (I + 1 >= argc)
